@@ -93,6 +93,41 @@ proptest! {
         assert_same_search(&dit, &missing, Scope::Sub, &filter);
     }
 
+    /// Re-upserting every entry of a tree unchanged is not a mutation:
+    /// the generation the MDS cache keys on stays put, and so does every
+    /// search result.
+    #[test]
+    fn identical_reupsert_is_invisible(spec in arb_spec(), filter in arb_filter()) {
+        let (mut dit, suffix) = build_dit(&spec);
+        let before = dit.generation();
+        let mut bases = vec![suffix.clone()];
+        bases.extend(dit.iter().map(|e| e.dn.clone()));
+        let snapshot = |dit: &Dit| -> Vec<Vec<Entry>> {
+            let mut out = Vec::new();
+            for base in &bases {
+                for scope in [Scope::Base, Scope::One, Scope::Sub] {
+                    for f in [&filter, &Filter::any()] {
+                        out.push(dit.search(base, scope, f).into_iter().cloned().collect());
+                    }
+                }
+            }
+            out
+        };
+        let old = snapshot(&dit);
+        let copies: Vec<Entry> = dit.iter().cloned().collect();
+        for e in copies {
+            prop_assert!(dit.upsert(e).is_ok());
+        }
+        // Rebuilding the tree from scratch gives equal entries with
+        // separately allocated attribute maps: still no mutation.
+        let (rebuilt, _) = build_dit(&spec);
+        for e in rebuilt.iter().cloned() {
+            prop_assert!(dit.upsert(e).is_ok());
+        }
+        prop_assert_eq!(dit.generation(), before);
+        prop_assert_eq!(snapshot(&dit), old);
+    }
+
     /// Mutations (remove_subtree + re-upsert) keep the paths agreeing and
     /// always bump the generation counter the MDS cache depends on.
     #[test]

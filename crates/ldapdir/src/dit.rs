@@ -52,8 +52,10 @@ pub struct Dit {
     entries: BTreeMap<Dn, Entry>,
     /// Parent DN -> children DNs.
     children: BTreeMap<Dn, BTreeSet<Dn>>,
-    /// Bumped on every (potential) mutation so callers can cache derived
-    /// results — e.g. materialized search responses — keyed on it.
+    /// Bumped on every mutation that may change a search result, so
+    /// callers can cache derived results — e.g. materialized search
+    /// responses — keyed on it.  Re-upserting an identical entry is not
+    /// a mutation.
     generation: u64,
 }
 
@@ -136,11 +138,17 @@ impl Dit {
     }
 
     /// Replace an existing entry's attributes (same DN), or insert it.
+    /// Replacing an entry with an equal one leaves the tree — and so the
+    /// generation — unchanged.  The comparison is cheap for re-delivered
+    /// data: clones share one attribute map, and `Rc` equality checks the
+    /// pointer first.
     pub fn upsert(&mut self, entry: Entry) -> Result<(), DitError> {
         match self.entries.get_mut(&entry.dn) {
             Some(slot) => {
-                *slot = entry;
-                self.generation += 1;
+                if *slot != entry {
+                    *slot = entry;
+                    self.generation += 1;
+                }
                 Ok(())
             }
             None => self.add_with_parents(entry),
@@ -340,6 +348,45 @@ mod tests {
             .unwrap()
             .is_objectclass("MdsVoUpdated"));
         assert_eq!(d.len(), 6);
+    }
+
+    #[test]
+    fn identical_upsert_keeps_generation() {
+        let mut d = dit();
+        let dn = Dn::parse("mds-host-hn=lucky7, mds-vo-name=local, o=grid").unwrap();
+        let before = d.generation();
+        // A shared clone and a separately built equal entry are both
+        // no-ops.
+        d.upsert(d.get(&dn).unwrap().clone()).unwrap();
+        let mut rebuilt = Entry::new(dn.clone());
+        rebuilt
+            .add("objectclass", "MdsHost")
+            .add("Mds-Host-hn", "lucky7");
+        d.upsert(rebuilt).unwrap();
+        assert_eq!(d.generation(), before);
+        assert_eq!(d.len(), 6);
+    }
+
+    #[test]
+    fn changed_upsert_bumps_generation() {
+        let mut d = dit();
+        let dn = Dn::parse("mds-host-hn=lucky7, mds-vo-name=local, o=grid").unwrap();
+        let before = d.generation();
+        let mut changed = d.get(&dn).unwrap().clone();
+        changed.put("Mds-Host-hn", "lucky8");
+        d.upsert(changed).unwrap();
+        assert!(d.generation() > before);
+        assert_eq!(d.get(&dn).unwrap().first("mds-host-hn"), Some("lucky8"));
+    }
+
+    #[test]
+    fn get_mut_bumps_generation() {
+        let mut d = dit();
+        let dn = Dn::parse("mds-host-hn=lucky7, mds-vo-name=local, o=grid").unwrap();
+        let before = d.generation();
+        // Even an untouched mutable handle counts as a mutation.
+        assert!(d.get_mut(&dn).is_some());
+        assert!(d.generation() > before);
     }
 
     #[test]

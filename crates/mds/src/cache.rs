@@ -37,18 +37,31 @@ struct Slot {
     result: CachedResult,
 }
 
+/// How often a [`ResultCache`] answered from a slot (`hits`) versus
+/// materialized the search (`misses`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    pub hits: u64,
+    pub misses: u64,
+}
+
 /// A small per-service memo table (experiments issue only a handful of
 /// distinct query shapes; eviction is oldest-first beyond the cap).
 #[derive(Default)]
 pub struct ResultCache {
     slots: Vec<Slot>,
+    stats: CacheStats,
 }
 
 const CACHE_CAP: usize = 8;
 
 impl ResultCache {
     pub fn new() -> Self {
-        ResultCache { slots: Vec::new() }
+        ResultCache::default()
+    }
+
+    pub fn stats(&self) -> CacheStats {
+        self.stats
     }
 
     /// Fetch the memoized result for this query against `dit`'s current
@@ -70,9 +83,11 @@ impl ResultCache {
                 && s.key.attrs == *attrs
         }) {
             if slot.generation == generation {
+                self.stats.hits += 1;
                 return slot.result.clone();
             }
         }
+        self.stats.misses += 1;
         let result = compute(dit);
         let key = QueryKey {
             base: base.clone(),
@@ -140,6 +155,7 @@ mod tests {
         let r3 = c.get_or_compute(&d, &base, Scope::Sub, &f, &None, compute_all);
         assert!(!Rc::ptr_eq(&r1.entries, &r3.entries));
         assert_eq!(r3.total, 3);
+        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 2 });
     }
 
     #[test]

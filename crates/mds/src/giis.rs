@@ -17,6 +17,7 @@ use simcore::{SimDuration, SimTime};
 use simnet::trace::Ev;
 use simnet::{CallOutcome, Payload, Plan, Service, SubCall, SvcCx, SvcKey};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 /// CPU cost of merging one pulled entry into the aggregate directory.
 pub const MERGE_CPU_PER_ENTRY_US: f64 = 60.0;
@@ -40,7 +41,12 @@ struct Registration {
     last_fetch: Option<SimTime>,
     /// When a pull last *returned* data for this subtree (`None` = never).
     last_data: Option<SimTime>,
-    entry_count: usize,
+    /// The pulled payload this subtree was last merged from, and how many
+    /// of its entries that merge counted.  A source answering from its
+    /// memo cache re-delivers the very same `Rc`, whose entries are then
+    /// already in the aggregate.  Holding the `Rc` (not its address)
+    /// keeps the allocation from being reused by a different payload.
+    last_merged: Option<(Rc<Vec<Entry>>, usize)>,
 }
 
 struct PendingQuery {
@@ -111,6 +117,11 @@ impl Giis {
 
     pub fn registered_count(&self) -> usize {
         self.registered.len()
+    }
+
+    /// Hit/miss counts of the search-reply memo cache.
+    pub fn cache_stats(&self) -> crate::cache::CacheStats {
+        self.cache.stats()
     }
 
     /// Graft point of a registered source (for "query part" workloads).
@@ -196,7 +207,7 @@ impl Giis {
                     crate::cache::CachedResult {
                         total: hits.len(),
                         bytes,
-                        entries: std::rc::Rc::new(entries),
+                        entries: Rc::new(entries),
                     }
                 });
         let cost = SEARCH_CPU_FIXED_US
@@ -231,7 +242,7 @@ impl Service for Giis {
                         last_seen: now,
                         last_fetch: None,
                         last_data: None,
-                        entry_count: 0,
+                        last_merged: None,
                     });
                 return Plan::new().cpu(REGISTRATION_CPU_US).done();
             }
@@ -301,23 +312,12 @@ impl Service for Giis {
                 }
             }
         }
-        // Merge pulled subtrees, rebasing each entry's DN by matching its
-        // remote suffix (indexed by suffix for large registries).  The
-        // pulled entry is moved into the aggregate with its DN rewritten
-        // in place — no per-attribute rebuild.
+        // Merge each pulled subtree into its own graft, rewriting every
+        // entry's DN from the source's suffix to the graft.  A payload the
+        // source re-delivered unchanged (the same `Rc` as last merged) is
+        // already in the aggregate and is skipped, but its entries still
+        // count towards the simulated merge cost.
         let mut merged = 0usize;
-        let pairs: Vec<(Dn, Dn)> = self
-            .registered
-            .values()
-            .map(|r| (r.remote_suffix.clone(), r.graft.clone()))
-            .collect();
-        let by_suffix: std::collections::HashMap<&[ldapdir::Rdn], usize> = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, (s, _))| (s.rdns(), i))
-            .collect();
-        let depths: std::collections::BTreeSet<usize> =
-            pairs.iter().map(|(s, _)| s.depth()).collect();
         for o in outcomes {
             let Some((payload, _bytes)) = o.response else {
                 continue; // source unreachable; soft state will purge it
@@ -325,29 +325,31 @@ impl Service for Giis {
             let Ok(result) = payload.downcast::<MdsSearchResult>() else {
                 continue;
             };
-            // Take ownership of the pulled entries: if the source served
-            // from its memo cache the Rc is shared and we clone once
-            // here; otherwise the vec is moved out for free.
-            let entries =
-                std::rc::Rc::try_unwrap(result.entries).unwrap_or_else(|rc| (*rc).clone());
-            for mut e in entries {
-                let reg = depths
-                    .iter()
-                    .find_map(|&d| e.dn.suffix_slice(d).and_then(|sfx| by_suffix.get(sfx)));
-                let Some(&i) = reg else {
+            let Some(r) = q
+                .pulled
+                .get(o.index as usize)
+                .and_then(|k| self.registered.get_mut(k))
+            else {
+                continue; // purged while the pull was in flight
+            };
+            if let Some((last, n)) = &r.last_merged {
+                if Rc::ptr_eq(last, &result.entries) {
+                    merged += n;
                     continue;
-                };
-                let (remote_suffix, graft) = &pairs[i];
-                if let Some(dn) = e.dn.rebase(remote_suffix, graft) {
+                }
+            }
+            let mut n = 0;
+            for e in result.entries.iter() {
+                if let Some(dn) = e.dn.rebase(&r.remote_suffix, &r.graft) {
+                    let mut e = e.clone();
                     e.dn = dn;
                     if self.dit.upsert(e).is_ok() {
-                        merged += 1;
+                        n += 1;
                     }
                 }
             }
-        }
-        for r in self.registered.values_mut() {
-            r.entry_count = 0; // recomputed lazily if ever needed
+            merged += n;
+            r.last_merged = Some((result.entries, n));
         }
         let merge_cost = MERGE_CPU_PER_ENTRY_US * merged as f64;
         let mut plan = self.search_plan(q);
@@ -389,12 +391,15 @@ mod tests {
         Topology,
     };
 
+    /// Per reply: total hits, response time, the payload entries.
+    type Replies = Rc<std::cell::RefCell<Vec<(usize, f64, Rc<Vec<Entry>>)>>>;
+
     struct QueryAt {
         from: simnet::NodeId,
         to: SvcKey,
         times_s: Vec<u64>,
         req: Box<dyn Fn() -> MdsRequest>,
-        results: std::rc::Rc<std::cell::RefCell<Vec<(usize, f64)>>>,
+        results: Replies,
     }
 
     impl Client for QueryAt {
@@ -420,9 +425,11 @@ mod tests {
             if let ReqResult::Ok(p, _) = o.result {
                 let r = p.downcast::<MdsSearchResult>().unwrap();
                 let rt = (o.completed - o.submitted).as_secs_f64();
-                self.results.borrow_mut().push((r.total, rt));
+                self.results.borrow_mut().push((r.total, rt, r.entries));
             } else {
-                self.results.borrow_mut().push((usize::MAX, -1.0));
+                self.results
+                    .borrow_mut()
+                    .push((usize::MAX, -1.0, Rc::default()));
             }
         }
     }
@@ -478,7 +485,7 @@ mod tests {
     #[test]
     fn registration_then_pull_then_cache() {
         let (mut net, mut eng, client, giis, _grises) = deploy(3, None);
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
         net.add_client(Box::new(QueryAt {
             from: client,
@@ -509,7 +516,7 @@ mod tests {
     #[test]
     fn finite_cachettl_refetches() {
         let (mut net, mut eng, client, giis, _) = deploy(2, Some(SimDuration::from_secs(12)));
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
         net.add_client(Box::new(QueryAt {
             from: client,
@@ -528,7 +535,7 @@ mod tests {
     #[test]
     fn soft_state_purges_dead_sources() {
         let (mut net, mut eng, client, giis, grises) = deploy(2, None);
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
         net.add_client(Box::new(QueryAt {
             from: client,
@@ -554,7 +561,7 @@ mod tests {
     fn part_query_returns_one_subtree() {
         let (mut net, mut eng, client, giis, grises) = deploy(4, None);
         // Warm the cache first.
-        let warm = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let warm = Rc::new(std::cell::RefCell::new(Vec::new()));
         let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
         net.add_client(Box::new(QueryAt {
             from: client,
@@ -576,7 +583,7 @@ mod tests {
             .graft_of(grises[1])
             .unwrap()
             .clone();
-        let part = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let part = Rc::new(std::cell::RefCell::new(Vec::new()));
         let late = net.add_client(Box::new(QueryAt {
             from: client,
             to: giis,
@@ -614,7 +621,7 @@ mod tests {
             mid_ref.register_with(top);
         }
         net.prime_service_timer(&mut eng, mid, SimDuration::from_millis(500), 0);
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         net.add_client(Box::new(QueryAt {
             from: client,
             to: top,
@@ -632,5 +639,156 @@ mod tests {
         let top_ref = net.service_as::<Giis>(top).unwrap();
         assert_eq!(top_ref.registered_count(), 1);
         assert_eq!(top_ref.pulls, 1);
+    }
+
+    /// A source whose data changes on every pull: each reply is a fresh
+    /// payload carrying the pull's sequence number.
+    struct Ticker {
+        suffix: Dn,
+        giis: SvcKey,
+        me: Option<SvcKey>,
+        pulls: u64,
+    }
+
+    impl Service for Ticker {
+        fn handle(&mut self, _req: Payload, _cx: &mut SvcCx) -> Plan {
+            self.pulls += 1;
+            let mut e = Entry::new(self.suffix.child("cn", "tick"));
+            e.add("objectclass", "tick")
+                .add("seq", self.pulls.to_string());
+            let bytes = 64 + e.wire_size();
+            let reply = MdsSearchResult {
+                entries: Rc::new(vec![e]),
+                total: 1,
+                bytes,
+            };
+            Plan::new().cpu(100.0).reply(reply, bytes)
+        }
+        fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {
+            if let Some(me) = self.me {
+                let reg = GrisRegistration {
+                    gris: me,
+                    suffix: self.suffix.clone(),
+                };
+                cx.send_oneway(self.giis, reg, crate::proto::REGISTRATION_BYTES);
+            }
+            cx.set_timer(crate::gris::REGISTRATION_PERIOD, 0);
+        }
+        fn name(&self) -> &str {
+            "ticker"
+        }
+    }
+
+    #[test]
+    fn unchanged_pulls_keep_the_search_cache_warm() {
+        let (mut net, mut eng, client, giis, grises) = deploy(2, Some(SimDuration::from_secs(12)));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
+        net.add_client(Box::new(QueryAt {
+            from: client,
+            to: giis,
+            times_s: vec![5, 30, 50, 70, 90],
+            req: Box::new(move || MdsRequest::search_all(base.clone())),
+            results: results.clone(),
+        }));
+        net.start(&mut eng);
+        eng.run_until(&mut net, SimTime::from_secs(120));
+        let g = net.service_as::<Giis>(giis).unwrap();
+        // Every query finds both subtrees stale and pulls them again ...
+        assert_eq!(g.pulls, 10);
+        // ... but the GRISes re-deliver unchanged data, so only the first
+        // search is materialized.
+        let stats = g.cache_stats();
+        assert_eq!(stats.misses, 1, "{stats:?}");
+        assert_eq!(stats.hits, 4, "{stats:?}");
+        let results = results.borrow();
+        assert!(results.iter().all(|r| r.0 == results[0].0));
+        assert!(results.iter().all(|r| Rc::ptr_eq(&r.2, &results[0].2)));
+        for &k in &grises {
+            assert_eq!(net.service_as::<Gris>(k).unwrap().cache_stats().misses, 1);
+        }
+    }
+
+    #[test]
+    fn changed_pulls_reach_the_next_search() {
+        let (mut net, mut eng, client, giis, _) = deploy(1, Some(SimDuration::from_secs(12)));
+        let node = net.topo.find_node("gris-host").unwrap();
+        let ticker = net.add_service(
+            node,
+            ServiceConfig::default(),
+            Box::new(Ticker {
+                suffix: Dn::parse("mds-vo-name=ticker, o=grid").unwrap(),
+                giis,
+                me: None,
+                pulls: 0,
+            }),
+            &mut eng,
+        );
+        net.service_as_mut::<Ticker>(ticker).unwrap().me = Some(ticker);
+        net.prime_service_timer(&mut eng, ticker, SimDuration::from_millis(50), 0);
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let filter = Filter::parse("(objectclass=tick)").unwrap();
+        let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
+        net.add_client(Box::new(QueryAt {
+            from: client,
+            to: giis,
+            times_s: vec![5, 30, 55],
+            req: Box::new(move || MdsRequest::Search {
+                base: base.clone(),
+                scope: Scope::Sub,
+                filter: filter.clone(),
+                attrs: None,
+            }),
+            results: results.clone(),
+        }));
+        net.start(&mut eng);
+        eng.run_until(&mut net, SimTime::from_secs(120));
+        let seqs: Vec<String> = results
+            .borrow()
+            .iter()
+            .map(|r| {
+                assert_eq!(r.0, 1);
+                r.2[0].first("seq").unwrap().to_string()
+            })
+            .collect();
+        assert_eq!(seqs, ["1", "2", "3"]);
+        assert_eq!(net.service_as::<Ticker>(ticker).unwrap().pulls, 3);
+        assert_eq!(
+            net.service_as::<Giis>(giis).unwrap().cache_stats().misses,
+            3
+        );
+    }
+
+    #[test]
+    fn reregistered_source_is_merged_from_scratch() {
+        let (mut net, mut eng, client, giis, grises) = deploy(2, None);
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
+        net.add_client(Box::new(QueryAt {
+            from: client,
+            to: giis,
+            times_s: vec![5, 150, 200],
+            req: Box::new(move || MdsRequest::search_all(base.clone())),
+            results: results.clone(),
+        }));
+        net.start(&mut eng);
+        // Silence one GRIS until the t=150 query purges it, then let it
+        // register again.
+        eng.run_until(&mut net, SimTime::from_secs(50));
+        net.service_as_mut::<Gris>(grises[0]).unwrap().me = None;
+        eng.run_until(&mut net, SimTime::from_secs(170));
+        assert_eq!(net.service_as::<Giis>(giis).unwrap().registered_count(), 1);
+        net.service_as_mut::<Gris>(grises[0]).unwrap().me = Some(grises[0]);
+        eng.run_until(&mut net, SimTime::from_secs(300));
+        let g = net.service_as::<Giis>(giis).unwrap();
+        assert_eq!(g.registered_count(), 2);
+        assert_eq!(g.pulls, 3);
+        // The GRIS re-delivers the payload it served before the purge;
+        // the fresh registration still grafts it back in full.
+        let results = results.borrow();
+        assert!(results[1].0 < results[0].0);
+        assert_eq!(results[2].0, results[0].0);
+        let graft = g.graft_of(grises[0]).unwrap();
+        assert!(g.dit.search(graft, Scope::Sub, &Filter::any()).len() > 20);
     }
 }

@@ -87,6 +87,11 @@ impl Gris {
         self.providers.len()
     }
 
+    /// Hit/miss counts of the search-reply memo cache.
+    pub fn cache_stats(&self) -> crate::cache::CacheStats {
+        self.cache.stats()
+    }
+
     /// Providers whose data is stale at `now`.
     fn stale(&self, now: SimTime) -> Vec<usize> {
         (0..self.providers.len())
@@ -259,7 +264,10 @@ mod tests {
         }
     }
 
-    fn run_gris(ttl: Option<SimDuration>, queries: u32) -> (Vec<(usize, u64, f64)>, u64) {
+    fn run_gris(
+        ttl: Option<SimDuration>,
+        queries: u32,
+    ) -> (Vec<(usize, u64, f64)>, u64, crate::cache::CacheStats) {
         let mut topo = Topology::new();
         let client = topo.add_node("client", 1, 1.0);
         let server = topo.add_node("server", 2, 1.0);
@@ -277,14 +285,14 @@ mod tests {
         }));
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(500));
-        let runs = net.service_as::<Gris>(svc).unwrap().provider_runs;
+        let g = net.service_as::<Gris>(svc).unwrap();
         let out = results.borrow().clone();
-        (out, runs)
+        (out, g.provider_runs, g.cache_stats())
     }
 
     #[test]
     fn first_query_populates_then_cache_hits() {
-        let (results, runs) = run_gris(None, 3); // never expires
+        let (results, runs, _) = run_gris(None, 3); // never expires
         assert_eq!(results.len(), 3);
         // Providers ran exactly once each.
         assert_eq!(runs, 10);
@@ -302,9 +310,13 @@ mod tests {
 
     #[test]
     fn zero_ttl_reruns_providers_every_query() {
-        let (results, runs) = run_gris(Some(SimDuration::ZERO), 3);
+        let (results, runs, stats) = run_gris(Some(SimDuration::ZERO), 3);
         assert_eq!(results.len(), 3);
         assert_eq!(runs, 30);
+        // Providers are deterministic: re-running them leaves the
+        // directory unchanged, so the search itself is materialized once.
+        assert_eq!(stats.misses, 1, "{stats:?}");
+        assert_eq!(stats.hits, 2, "{stats:?}");
         // Every query pays the full serialized provider cost (~10 × 50 ms).
         for (_, _, rt) in &results {
             assert!(*rt > 0.4, "rt {rt}");
@@ -314,7 +326,7 @@ mod tests {
     #[test]
     fn ttl_expiry_triggers_refresh() {
         // 15 s TTL, queries every 10 s: every other query refreshes.
-        let (results, runs) = run_gris(Some(SimDuration::from_secs(15)), 3);
+        let (results, runs, _) = run_gris(Some(SimDuration::from_secs(15)), 3);
         assert_eq!(results.len(), 3);
         // Query at t≈0 (cold, 10 runs), t≈10 (fresh), t≈20 (stale, 10 runs).
         assert_eq!(runs, 20);

@@ -25,6 +25,7 @@ pub mod gris;
 pub mod proto;
 pub mod provider;
 
+pub use cache::CacheStats;
 pub use giis::Giis;
 pub use gris::Gris;
 pub use proto::{GrisRegistration, MdsRequest, MdsSearchResult};
