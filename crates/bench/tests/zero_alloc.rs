@@ -1,18 +1,29 @@
-//! Pinned steady-state allocation behaviour of the event kernel.
+//! Pinned steady-state allocation behaviour of the two innermost kernels.
 //!
 //! The closure pool exists so that the schedule/fire loop — the inner
 //! loop of every experiment — performs **zero** heap allocations once
-//! warm.  This test pins that property under the counting allocator:
-//! it warms a set-1-shaped world (periodic per-host probe events that
-//! reschedule themselves, like the GRIS cache refreshers), then runs
-//! thousands of further events and asserts the process allocation
-//! counter did not move at all.
+//! warm.  The first test pins that property under the counting
+//! allocator: it warms a set-1-shaped world (periodic per-host probe
+//! events that reschedule themselves, like the GRIS cache refreshers),
+//! then runs thousands of further events and asserts the process
+//! allocation counter did not move at all.  The second pins the same
+//! for `FlowNet`'s fair-share water-filler, which re-levels on every flow
+//! start and finish.
 //!
 //! Runs only with `--features alloc-profile` (which compiles the
-//! counting global allocator in); without it the test is a no-op so
+//! counting global allocator in); without it the tests are no-ops so
 //! plain `cargo test` stays green.
 
+use std::sync::Mutex;
+
 use simcore::{Engine, SimDuration, SimTime};
+use simnet::flow::FlowNet;
+use simnet::topology::LinkId;
+use testbed::Testbed;
+
+/// The allocation counter is process-wide: each test holds this for its
+/// whole body so the other's allocations never land in its window.
+static COUNTER: Mutex<()> = Mutex::new(());
 
 /// The measured world: per-host counters bumped by self-rescheduling
 /// probe events, the shape of the set-1 MDS refresh loop.
@@ -29,6 +40,7 @@ fn arm(eng: &mut Engine<World>, host: usize, period: SimDuration) {
 
 #[test]
 fn steady_state_event_loop_allocates_nothing() {
+    let _serial = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let Some(_) = gperf::alloc::stats() else {
         eprintln!("count-alloc not compiled in; skipping (run with --features alloc-profile)");
         return;
@@ -63,6 +75,72 @@ fn steady_state_event_loop_allocates_nothing() {
         "steady-state loop allocated {} times over {} events",
         after.allocs - before.allocs,
         fired
+    );
+    assert_eq!(after.bytes_total, before.bytes_total);
+}
+
+#[test]
+fn warm_flownet_relevel_allocates_nothing() {
+    let _serial = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let Some(_) = gperf::alloc::stats() else {
+        eprintln!("count-alloc not compiled in; skipping (run with --features alloc-profile)");
+        return;
+    };
+
+    let tb = Testbed::standard();
+    let mut topo = tb.topo;
+    // Every UC -> Lucky route crosses the shared WAN link, so all flows
+    // fall into one component and every start/abort re-levels all of them.
+    let routes: Vec<Vec<LinkId>> = tb
+        .uc
+        .iter()
+        .flat_map(|&c| tb.lucky.iter().map(move |&s| (c, s)))
+        .map(|(c, s)| topo.route(c, s).to_vec())
+        .collect();
+    let now = SimTime::ZERO;
+    let mut net = FlowNet::new();
+    for i in 0..50 {
+        net.start(
+            &topo,
+            now,
+            routes[i % routes.len()].clone(),
+            1 << 30,
+            i as u64,
+        );
+    }
+
+    // `start` takes its path by value: build every cycle's path up front.
+    const CYCLES: usize = 2_000;
+    let mut paths = (0..2 * CYCLES).map(|i| routes[(7 * i + 3) % routes.len()].clone());
+    let warm: Vec<Vec<LinkId>> = paths.by_ref().take(CYCLES).collect();
+    let measured: Vec<Vec<LinkId>> = paths.collect();
+    let cycle = |net: &mut FlowNet, topo: &_, path: Vec<LinkId>| {
+        let k = net.start(topo, now, path, 1 << 20, u64::MAX);
+        assert_eq!(net.abort(topo, k), Some(u64::MAX));
+    };
+
+    // Warm-up: size the filler's scratch, the per-link flow lists and the
+    // slab's free list.
+    for path in warm {
+        cycle(&mut net, &topo, path);
+    }
+    net.capacity_changed(&topo);
+
+    let wan = topo.find_link("wan-uc-to-anl").expect("WAN link");
+    let before = gperf::alloc::stats().unwrap();
+    for path in measured {
+        cycle(&mut net, &topo, path);
+    }
+    topo.link_mut(wan).capacity_bps /= 2.0;
+    net.capacity_changed(&topo);
+    let after = gperf::alloc::stats().unwrap();
+
+    assert_eq!(net.active(), 50);
+    assert_eq!(
+        after.allocs - before.allocs,
+        0,
+        "warm re-leveling allocated {} times over {CYCLES} start/abort cycles",
+        after.allocs - before.allocs
     );
     assert_eq!(after.bytes_total, before.bytes_total);
 }

@@ -1,8 +1,9 @@
 //! # gridmon-diff — differential reference-oracle test layer
 //!
 //! Each measured hot path in the workspace keeps its original, simple
-//! implementation alive as a *reference kernel* (exposed by the crates'
-//! `reference-kernel` feature).  The property tests in this crate's
+//! implementation alive as a *reference kernel*: in this crate (the
+//! fair-share water-filler, [`flownet::water_fill`]) or behind the other
+//! crates' `reference-kernel` feature.  The property tests in this crate's
 //! `tests/` directory drive the fast and reference paths with the same
 //! randomly generated inputs and assert **bit-exact** agreement:
 //!
@@ -23,6 +24,8 @@
 //! the last ulp — is a bug.
 
 use classad::Value;
+
+pub mod flownet;
 
 /// Bit-exact ClassAd value equality: `Real` compares by `to_bits` so NaN
 /// payloads and signed zeros must agree too; other variants use plain

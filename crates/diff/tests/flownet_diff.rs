@@ -1,13 +1,17 @@
 //! Incremental max-min fair-share vs the from-scratch water-filler.
 //!
 //! `FlowNet` re-levels only the connected component a mutation touches;
-//! the oracle (`recompute_reference`) rebuilds the whole rate vector.
-//! After every mutation of a random schedule the two must agree on every
-//! flow's rate, bit for bit.
+//! the oracle (`gridmon_diff::flownet::water_fill`) water-fills every live
+//! flow from scratch, from the `(token, path)` pairs the test recorded as
+//! it started them.  After every mutation of a random schedule the two
+//! must agree on every flow's rate, bit for bit.
 
+use std::collections::BTreeMap;
+
+use gridmon_diff::flownet::water_fill;
 use proptest::prelude::*;
 use simcore::{SimRng, SimTime};
-use simnet::flow::FlowNet;
+use simnet::flow::{FlowKey, FlowNet, FlowToken};
 use simnet::topology::{LinkId, Topology};
 
 fn build_topology(link_caps: &[f64], seed_latency_us: u64) -> (Topology, Vec<LinkId>) {
@@ -27,18 +31,66 @@ fn build_topology(link_caps: &[f64], seed_latency_us: u64) -> (Topology, Vec<Lin
     (t, links)
 }
 
-/// Assert the incremental rate vector equals a full recompute of a clone.
-fn assert_rates_match(fnet: &FlowNet, topo: &Topology, context: &str) {
-    let mut fast = Vec::new();
-    fnet.for_each_rate(|tok, r| fast.push((tok, r.to_bits())));
-    let mut oracle = fnet.clone();
-    oracle.recompute_reference(topo);
-    let mut slow = Vec::new();
-    oracle.for_each_rate(|tok, r| slow.push((tok, r.to_bits())));
-    assert_eq!(
-        fast, slow,
-        "incremental diverged from reference after {context}"
-    );
+/// A `FlowNet` plus the `(token, path)` of every live flow, in key order:
+/// the oracle's input.
+struct Tracked {
+    net: FlowNet,
+    live: BTreeMap<FlowKey, (FlowToken, Vec<LinkId>)>,
+}
+
+impl Tracked {
+    fn new() -> Self {
+        Tracked {
+            net: FlowNet::new(),
+            live: BTreeMap::new(),
+        }
+    }
+
+    fn start(
+        &mut self,
+        topo: &Topology,
+        now: SimTime,
+        path: Vec<LinkId>,
+        bytes: u64,
+        token: FlowToken,
+    ) -> FlowKey {
+        let k = self.net.start(topo, now, path.clone(), bytes, token);
+        self.live.insert(k, (token, path));
+        k
+    }
+
+    fn abort(&mut self, topo: &Topology, k: FlowKey) {
+        assert_eq!(
+            self.net.abort(topo, k),
+            self.live.remove(&k).map(|(t, _)| t)
+        );
+    }
+
+    /// Advance to `now`, dropping the flows the net reports completed.
+    fn advance(&mut self, topo: &Topology, now: SimTime) {
+        let done = self.net.advance(topo, now);
+        self.live.retain(|_, (tok, _)| !done.contains(tok));
+    }
+
+    /// Assert the incremental rate vector equals the oracle's, bit for bit.
+    fn assert_matches_oracle(&self, topo: &Topology, context: &str) {
+        let mut fast = Vec::new();
+        self.net
+            .for_each_rate(|tok, r| fast.push((tok, r.to_bits())));
+        let flows: Vec<(FlowToken, &[LinkId])> = self
+            .live
+            .values()
+            .map(|(tok, path)| (*tok, path.as_slice()))
+            .collect();
+        let slow: Vec<(FlowToken, u64)> = water_fill(topo, &flows)
+            .into_iter()
+            .map(|(tok, r)| (tok, r.to_bits()))
+            .collect();
+        assert_eq!(
+            fast, slow,
+            "incremental diverged from reference after {context}"
+        );
+    }
 }
 
 proptest! {
@@ -52,7 +104,7 @@ proptest! {
     ) {
         let caps_bps: Vec<f64> = caps.iter().map(|c| c * 1e6).collect();
         let (topo, links) = build_topology(&caps_bps, 5);
-        let mut fnet = FlowNet::new();
+        let mut t = Tracked::new();
         let mut rng = SimRng::new(seed);
         let mut now = SimTime(0);
         let mut live = Vec::new();
@@ -67,40 +119,41 @@ proptest! {
                         }
                     }
                     let bytes = rng.next_below(100_000);
-                    live.push(fnet.start(&topo, now, path, bytes, step));
+                    live.push(t.start(&topo, now, path, bytes, step));
                 }
                 2 => {
                     if !live.is_empty() {
                         let i = rng.next_below(live.len() as u64) as usize;
                         let k = live.swap_remove(i);
-                        fnet.abort(&topo, k);
+                        t.abort(&topo, k);
                     }
                 }
                 _ => {
-                    if let Some(next) = fnet.next_completion(now) {
+                    if let Some(next) = t.net.next_completion(now) {
                         now = next;
-                        fnet.advance(&topo, now);
-                        live.retain(|&k| fnet.rate_of(k).is_some());
+                        t.advance(&topo, now);
+                        live.retain(|&k| t.net.rate_of(k).is_some());
                     }
                 }
             }
-            assert_rates_match(&fnet, &topo, &format!("step {step}"));
+            t.assert_matches_oracle(&topo, &format!("step {step}"));
         }
         // Drain: completions must keep agreeing until the net is empty.
-        while let Some(next) = fnet.next_completion(now) {
+        while let Some(next) = t.net.next_completion(now) {
             now = next;
-            fnet.advance(&topo, now);
-            assert_rates_match(&fnet, &topo, "drain");
+            t.advance(&topo, now);
+            t.assert_matches_oracle(&topo, "drain");
         }
-        prop_assert_eq!(fnet.active(), 0);
+        prop_assert_eq!(t.net.active(), 0);
+        prop_assert!(t.live.is_empty());
     }
 
-    /// Capacity changes (fault injection) fall back to the full pass and
-    /// must leave the net in a state the oracle reproduces.
+    /// Capacity changes (fault injection) re-level with every link as a
+    /// seed and must leave the net in a state the oracle reproduces.
     #[test]
     fn capacity_change_resyncs(seed in any::<u64>()) {
         let (topo, links) = build_topology(&[4e6, 8e6, 2e6], 1);
-        let mut fnet = FlowNet::new();
+        let mut t = Tracked::new();
         let mut rng = SimRng::new(seed);
         for tok in 0..12u64 {
             let mut path = Vec::new();
@@ -109,14 +162,75 @@ proptest! {
                     path.push(l);
                 }
             }
-            fnet.start(&topo, SimTime(0), path, 10_000 + tok, tok);
+            t.start(&topo, SimTime(0), path, 10_000 + tok, tok);
         }
-        fnet.capacity_changed(&topo);
-        assert_rates_match(&fnet, &topo, "capacity_changed");
+        t.net.capacity_changed(&topo);
+        t.assert_matches_oracle(&topo, "capacity_changed");
         // And incremental mutations on top of the resync still agree.
-        let k = fnet.start(&topo, SimTime(0), vec![links[1]], 5000, 99);
-        assert_rates_match(&fnet, &topo, "start after capacity_changed");
-        fnet.abort(&topo, k);
-        assert_rates_match(&fnet, &topo, "abort after capacity_changed");
+        let k = t.start(&topo, SimTime(0), vec![links[1]], 5000, 99);
+        t.assert_matches_oracle(&topo, "start after capacity_changed");
+        t.abort(&topo, k);
+        t.assert_matches_oracle(&topo, "abort after capacity_changed");
+    }
+
+    /// Link capacities drawn from {1, 2, 4} Mbit/s, so bottleneck shares
+    /// tie across links, and paths that may cross a link more than once
+    /// (a flow contending with itself).  This is where the kernel's
+    /// explicit lowest-index tie-break and per-crossing accounting must
+    /// reproduce the oracle's ascending scan.  Capacities also change
+    /// mid-schedule, within the same set.
+    #[test]
+    fn tied_shares_and_revisited_links_agree(
+        caps in proptest::collection::vec(0u32..3, 2..6),
+        seed in any::<u64>(),
+        steps in 40usize..160,
+    ) {
+        let caps_bps: Vec<f64> = caps.iter().map(|&c| f64::from(1u32 << c) * 1e6).collect();
+        let (mut topo, links) = build_topology(&caps_bps, 2);
+        let mut t = Tracked::new();
+        let mut rng = SimRng::new(seed);
+        let mut now = SimTime(0);
+        let mut live = Vec::new();
+        for step in 0..steps as u64 {
+            match rng.next_below(6) {
+                0..=2 => {
+                    // One to four hops, each drawn independently: repeats
+                    // make a flow cross the same link twice.
+                    let hops = 1 + rng.next_below(4);
+                    let path: Vec<LinkId> = (0..hops)
+                        .map(|_| links[rng.next_below(links.len() as u64) as usize])
+                        .collect();
+                    let bytes = 1_000 + rng.next_below(50_000);
+                    live.push(t.start(&topo, now, path, bytes, step));
+                }
+                3 => {
+                    if !live.is_empty() {
+                        let i = rng.next_below(live.len() as u64) as usize;
+                        let k = live.swap_remove(i);
+                        t.abort(&topo, k);
+                    }
+                }
+                4 => {
+                    let l = links[rng.next_below(links.len() as u64) as usize];
+                    topo.link_mut(l).capacity_bps = f64::from(1u32 << rng.next_below(3)) * 1e6;
+                    t.net.capacity_changed(&topo);
+                }
+                _ => {
+                    if let Some(next) = t.net.next_completion(now) {
+                        now = next;
+                        t.advance(&topo, now);
+                        live.retain(|&k| t.net.rate_of(k).is_some());
+                    }
+                }
+            }
+            t.assert_matches_oracle(&topo, &format!("step {step}"));
+        }
+        while let Some(next) = t.net.next_completion(now) {
+            now = next;
+            t.advance(&topo, now);
+            t.assert_matches_oracle(&topo, "drain");
+        }
+        prop_assert_eq!(t.net.active(), 0);
+        prop_assert!(t.live.is_empty());
     }
 }
