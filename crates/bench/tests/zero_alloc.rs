@@ -8,12 +8,16 @@
 //! then runs thousands of further events and asserts the process
 //! allocation counter did not move at all.  The second pins the same
 //! for `FlowNet`'s fair-share water-filler, which re-levels on every flow
-//! start and finish.
+//! start and finish.  The third pins the copy-on-write `ClassAd`: the
+//! Hawkeye Manager clones a resident ad into every status reply and
+//! sizes it, which must cost a reference count, not a deep copy and a
+//! re-print.
 //!
 //! Runs only with `--features alloc-profile` (which compiles the
 //! counting global allocator in); without it the tests are no-ops so
 //! plain `cargo test` stays green.
 
+use std::hint::black_box;
 use std::sync::Mutex;
 
 use simcore::{Engine, SimDuration, SimTime};
@@ -22,7 +26,7 @@ use simnet::topology::LinkId;
 use testbed::Testbed;
 
 /// The allocation counter is process-wide: each test holds this for its
-/// whole body so the other's allocations never land in its window.
+/// whole body so the others' allocations never land in its window.
 static COUNTER: Mutex<()> = Mutex::new(());
 
 /// The measured world: per-host counters bumped by self-rescheduling
@@ -140,6 +144,40 @@ fn warm_flownet_relevel_allocates_nothing() {
         after.allocs - before.allocs,
         0,
         "warm re-leveling allocated {} times over {CYCLES} start/abort cycles",
+        after.allocs - before.allocs
+    );
+    assert_eq!(after.bytes_total, before.bytes_total);
+}
+
+#[test]
+fn warm_classad_clone_and_wire_size_allocate_nothing() {
+    let _serial = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let Some(_) = gperf::alloc::stats() else {
+        eprintln!("count-alloc not compiled in; skipping (run with --features alloc-profile)");
+        return;
+    };
+
+    // A Startd ad as the Hawkeye Manager stores it: 11 modules merged.
+    let agent = hawkeye::Agent::new("lucky4", hawkeye::default_modules("lucky4", 11));
+    let ad = agent.build_startd_ad();
+    let size = ad.wire_size();
+    assert_eq!(size, ad.to_string().len() as u64);
+
+    // Before ads were copy-on-write, a deep clone plus a re-print made
+    // 26 allocations per round (26,000 here).
+    const ROUNDS: usize = 1_000;
+    let before = gperf::alloc::stats().unwrap();
+    for _ in 0..ROUNDS {
+        let reply = black_box(&ad).clone();
+        assert_eq!(black_box(&reply).wire_size(), size);
+        drop(reply);
+    }
+    let after = gperf::alloc::stats().unwrap();
+
+    assert_eq!(
+        after.allocs - before.allocs,
+        0,
+        "{ROUNDS} clone/wire_size/drop rounds allocated {} times",
         after.allocs - before.allocs
     );
     assert_eq!(after.bytes_total, before.bytes_total);

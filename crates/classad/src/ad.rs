@@ -9,8 +9,10 @@ use crate::expr::{intern_lower, Expr};
 use crate::parser::{parse_expr, ParseError};
 use crate::value::Value;
 use gintern::Sym;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// A classified advertisement: a set of named expressions.
 ///
@@ -18,14 +20,26 @@ use std::fmt;
 /// and cloning an ad copies no name strings.  Probing uses
 /// [`gintern::lookup`], which never grows the intern table — a name that
 /// was never interned anywhere cannot be a key of any ad.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The ad is a copy-on-write handle: `clone` bumps a reference count,
+/// and the first mutation of a shared ad copies its attributes (see
+/// [`ClassAd::wire_size`] for the size memo that rides along).
+#[derive(Clone, Default)]
 pub struct ClassAd {
+    inner: Rc<Inner>,
+}
+
+#[derive(Clone, Default)]
+struct Inner {
     /// Insertion-ordered (lowercase name, printed name, expression).
     entries: Vec<(Sym, Sym, Expr)>,
     /// Lowercase name -> index into `entries`.  Only probed by key
     /// (never iterated), so `Sym`'s id-based hashing cannot leak
     /// nondeterministic ordering anywhere.
     index: HashMap<Sym, usize>,
+    /// Printed length of `entries`, filled by the first `wire_size`
+    /// after a mutation.
+    wire_size: OnceCell<u64>,
 }
 
 impl ClassAd {
@@ -33,27 +47,36 @@ impl ClassAd {
         Self::default()
     }
 
+    /// The only way to mutate: unshares the attributes (copying them if
+    /// another handle still holds them) and forgets the size memo.
+    fn inner_mut(&mut self) -> &mut Inner {
+        let inner = Rc::make_mut(&mut self.inner);
+        inner.wire_size.take();
+        inner
+    }
+
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.inner.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.inner.entries.is_empty()
     }
 
     /// Insert or replace an attribute.
     pub fn insert(&mut self, name: &str, expr: Expr) {
         let key = intern_lower(name);
         let printed = gintern::intern(name);
-        match self.index.get(&key) {
+        let inner = self.inner_mut();
+        match inner.index.get(&key) {
             Some(&i) => {
-                self.entries[i].1 = printed;
-                self.entries[i].2 = expr;
+                inner.entries[i].1 = printed;
+                inner.entries[i].2 = expr;
             }
             None => {
-                self.index.insert(key, self.entries.len());
-                self.entries.push((key, printed, expr));
+                inner.index.insert(key, inner.entries.len());
+                inner.entries.push((key, printed, expr));
             }
         }
     }
@@ -100,8 +123,14 @@ impl ClassAd {
     /// Look up an attribute (case-insensitive).  Parsed expressions store
     /// names lowercase already, so the hot path does not allocate.
     pub fn get(&self, name: &str) -> Option<&Expr> {
-        let key = Self::probe(name)?;
-        self.index.get(&key).map(|&i| &self.entries[i].2)
+        self.get_sym(Self::probe(name)?)
+    }
+
+    /// Look up an attribute by its interned lowercase name, as stored in
+    /// [`Expr::Attr`]: no case folding and no intern-table probe.
+    pub(crate) fn get_sym(&self, key: Sym) -> Option<&Expr> {
+        let i = *self.inner.index.get(&key)?;
+        Some(&self.inner.entries[i].2)
     }
 
     /// Remove an attribute; returns whether it existed.
@@ -109,13 +138,15 @@ impl ClassAd {
         let Some(key) = Self::probe(name) else {
             return false;
         };
-        let Some(i) = self.index.remove(&key) else {
+        let Some(&i) = self.inner.index.get(&key) else {
             return false;
         };
-        self.entries.remove(i);
+        let inner = self.inner_mut();
+        inner.index.remove(&key);
+        inner.entries.remove(i);
         // Reindex the tail.
-        for (j, (k, _, _)) in self.entries.iter().enumerate().skip(i) {
-            self.index.insert(*k, j);
+        for (j, (k, _, _)) in inner.entries.iter().enumerate().skip(i) {
+            inner.index.insert(*k, j);
         }
         true
     }
@@ -146,7 +177,7 @@ impl ClassAd {
 
     /// Iterate `(printed_name, expr)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Expr)> {
-        self.entries.iter().map(|(_, n, e)| (n.as_str(), e))
+        self.inner.entries.iter().map(|(_, n, e)| (n.as_str(), e))
     }
 
     /// Merge another ad into this one (other's attributes win).
@@ -187,20 +218,28 @@ impl ClassAd {
         Ok(ad)
     }
 
-    /// Serialized size in bytes (what goes on the simulated wire),
-    /// measured by counting `Display` output instead of materializing it.
+    /// Serialized size in bytes (what goes on the simulated wire): the
+    /// length of the `Display` form, counted without materializing it.
+    ///
+    /// The count is memoized with the attributes, so clones share it and
+    /// any given content is printed at most once; every mutation clears
+    /// it.  Sizes are computed lazily, not maintained per insert: most
+    /// ads are built once and sized many times (or never), so eager
+    /// bookkeeping would only move printing into setup.
     pub fn wire_size(&self) -> u64 {
-        use fmt::Write;
-        struct Counter(u64);
-        impl fmt::Write for Counter {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                self.0 += s.len() as u64;
-                Ok(())
+        *self.inner.wire_size.get_or_init(|| {
+            use fmt::Write;
+            struct Counter(u64);
+            impl fmt::Write for Counter {
+                fn write_str(&mut self, s: &str) -> fmt::Result {
+                    self.0 += s.len() as u64;
+                    Ok(())
+                }
             }
-        }
-        let mut c = Counter(0);
-        write!(c, "{self}").expect("counting writer never fails");
-        c.0
+            let mut c = Counter(0);
+            write!(c, "{self}").expect("counting writer never fails");
+            c.0
+        })
     }
 }
 
@@ -241,6 +280,21 @@ fn find_toplevel_eq(line: &str) -> Option<usize> {
         i += 1;
     }
     None
+}
+
+/// Equality and `Debug` look at the attributes only, never the memo.
+impl PartialEq for ClassAd {
+    fn eq(&self, other: &Self) -> bool {
+        self.inner.entries == other.inner.entries
+    }
+}
+
+impl fmt::Debug for ClassAd {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClassAd")
+            .field("entries", &self.inner.entries)
+            .finish()
+    }
 }
 
 impl fmt::Display for ClassAd {

@@ -88,7 +88,7 @@ pub(crate) fn eval_attr(scope: Scope, name: Sym, cx: &mut EvalCtx) -> Value {
     // first.
     let mut found: Option<(bool, Expr)> = None;
     for &(is_target, ad) in candidates {
-        if let Some(e) = ad.get(&name) {
+        if let Some(e) = ad.get_sym(name) {
             // A literal body cannot recurse, so the cycle bookkeeping
             // below is unobservable for it: answer without cloning the
             // expression — unless this very reference is already in

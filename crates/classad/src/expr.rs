@@ -85,11 +85,14 @@ pub enum UnOp {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     Lit(Value),
-    /// Attribute reference; the name is stored lowercase (ClassAd names
-    /// are case-insensitive) with the original case kept for printing.
+    /// Attribute reference (ClassAd names are case-insensitive).  Build
+    /// it with [`Expr::attr`] or [`Expr::scoped_attr`].
     Attr {
         scope: Scope,
+        /// The interned lowercase name: evaluation resolves it against
+        /// an ad's keys as is, without folding case again.
         name: Sym,
+        /// The name as written, for printing.
         printed: Sym,
     },
     Unary(UnOp, Box<Expr>),

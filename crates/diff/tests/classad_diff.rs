@@ -5,12 +5,18 @@
 //! oracle.  Every random expression must evaluate to a bit-identical
 //! value in both, with and without a TARGET ad, and the matchmaking
 //! wrappers must agree on every random ad pair.
+//!
+//! Two properties of the ads themselves ride along: an ad and its
+//! copy-on-write clone never see each other's mutations (and the
+//! memoized wire size always matches the printed form), and attribute
+//! references of any letter case resolve exactly when `ClassAd::get`
+//! finds the name.
 
 use classad::reference::{
     eval_reference, matches_constraint_reference, requirements_met_reference,
     symmetric_match_reference,
 };
-use classad::{matchmaker, BinOp, ClassAd, CompiledExpr, Expr, Scope, UnOp, Value};
+use classad::{matchmaker, parse_expr, BinOp, ClassAd, CompiledExpr, Expr, Scope, UnOp, Value};
 use gridmon_diff::{value_repr, values_identical};
 use proptest::prelude::*;
 
@@ -103,6 +109,61 @@ fn arb_ad() -> impl Strategy<Value = ClassAd> {
     })
 }
 
+/// One mutation of an ad under test.
+#[derive(Debug, Clone)]
+enum AdOp {
+    /// Insert under a name of either case, often replacing an attribute.
+    Insert(String, Expr),
+    /// Re-insert the `i`-th attribute (mod length) under its upper-case
+    /// name: a replacement that also changes the printed name.
+    Replace(usize, Expr),
+    Remove(String),
+    Merge(ClassAd),
+}
+
+fn arb_op() -> impl Strategy<Value = AdOp> {
+    prop_oneof![
+        ("[a-fA-F]", arb_expr()).prop_map(|(n, e)| AdOp::Insert(n, e)),
+        (0..6usize, arb_expr()).prop_map(|(i, e)| AdOp::Replace(i, e)),
+        "[a-gA-G]".prop_map(AdOp::Remove),
+        arb_ad().prop_map(AdOp::Merge),
+    ]
+}
+
+fn apply(ad: &mut ClassAd, op: AdOp) {
+    match op {
+        AdOp::Insert(name, e) => ad.insert(&name, e),
+        AdOp::Replace(i, e) => {
+            let name = ad
+                .iter()
+                .nth(i % ad.len().max(1))
+                .map(|(n, _)| n.to_uppercase());
+            ad.insert(name.as_deref().unwrap_or("A"), e);
+        }
+        AdOp::Remove(name) => {
+            ad.remove(&name);
+        }
+        AdOp::Merge(other) => ad.merge(&other),
+    }
+}
+
+/// Base names for the case-folding property; the last is never inserted.
+const NAMES: [&str; 4] = ["cpuload", "opsys", "memory", "disk"];
+
+/// `base` with the letters whose bit is set in `mask` upper-cased.
+fn cased(base: &str, mask: u64) -> String {
+    base.chars()
+        .enumerate()
+        .map(|(i, c)| {
+            if mask >> i & 1 == 1 {
+                c.to_ascii_uppercase()
+            } else {
+                c
+            }
+        })
+        .collect()
+}
+
 fn assert_identical(e: &Expr, my: &ClassAd, target: Option<&ClassAd>) {
     let compiled = CompiledExpr::compile(e);
     let slow = eval_reference(e, my, target);
@@ -176,5 +237,85 @@ proptest! {
             matchmaker::matches_constraint_compiled(&ad, &compiled),
             matches_constraint_reference(&ad, &c)
         );
+    }
+}
+
+proptest! {
+    /// Copy-on-write isolation: mutating a clone never shows through in
+    /// the original, and `wire_size` (memoized, shared by clones) always
+    /// equals the printed length — asked between every two mutations, so
+    /// a memo that survives a mutation is caught.
+    #[test]
+    fn cow_clone_isolation_and_wire_size(
+        ad in arb_ad(),
+        ops in proptest::collection::vec(arb_op(), 1..10),
+    ) {
+        let printed = ad.to_string();
+        prop_assert_eq!(ad.wire_size(), printed.len() as u64);
+        let mut copy = ad.clone();
+        prop_assert_eq!(copy.wire_size(), printed.len() as u64);
+        for op in ops {
+            apply(&mut copy, op);
+            prop_assert_eq!(ad.to_string(), printed.clone());
+            prop_assert_eq!(ad.wire_size(), printed.len() as u64);
+            prop_assert_eq!(copy.wire_size(), copy.to_string().len() as u64);
+        }
+        // The original, in turn, is mutable without touching the copy.
+        let copy_printed = copy.to_string();
+        let mut original = ad;
+        apply(&mut original, AdOp::Merge(copy.clone()));
+        apply(&mut original, AdOp::Remove("a".into()));
+        prop_assert_eq!(original.wire_size(), original.to_string().len() as u64);
+        prop_assert_eq!(copy.to_string(), copy_printed.clone());
+        prop_assert_eq!(copy.wire_size(), copy_printed.len() as u64);
+    }
+
+    /// Attribute names are case-insensitive: an ad built under mixed-case
+    /// names answers a reference of any case — built by `Expr::attr` /
+    /// `Expr::scoped_attr` or parsed, in MY and TARGET scope — exactly
+    /// when `ClassAd::get` finds the name, with the stored value.
+    #[test]
+    fn attribute_references_fold_case_like_get(
+        attrs in proptest::collection::vec((0..3usize, any::<u64>(), -9i64..9), 0..5),
+        refs in proptest::collection::vec((0..4usize, any::<u64>()), 1..6),
+    ) {
+        let mut ad = ClassAd::new();
+        for (i, mask, v) in attrs {
+            ad.set_int(&cased(NAMES[i], mask), v);
+        }
+        let empty = ClassAd::new();
+        for (i, mask) in refs {
+            let name = cased(NAMES[i], mask);
+            let want = match ad.get(&name) {
+                Some(Expr::Lit(v)) => v.clone(),
+                Some(other) => panic!("inserted literals only, got {other}"),
+                None => Value::Undefined,
+            };
+            let parsed = |src: String| parse_expr(&src).expect("reference parses");
+            let in_my = [
+                Expr::attr(&name),
+                Expr::scoped_attr(Scope::My, &name),
+                parsed(name.clone()),
+                parsed(format!("MY.{name}")),
+            ];
+            let in_target = [
+                Expr::attr(&name),
+                Expr::scoped_attr(Scope::Target, &name),
+                parsed(name.clone()),
+                parsed(format!("TARGET.{name}")),
+            ];
+            let cases = in_my.iter().map(|e| (e, &ad, None));
+            let cases = cases.chain(in_target.iter().map(|e| (e, &empty, Some(&ad))));
+            for (e, my, target) in cases {
+                for got in [eval_reference(e, my, target), CompiledExpr::compile(e).eval(my, target)] {
+                    prop_assert!(
+                        values_identical(&got, &want),
+                        "{e} gave {} but get({name:?}) says {}\n{ad}",
+                        value_repr(&got),
+                        value_repr(&want),
+                    );
+                }
+            }
+        }
     }
 }

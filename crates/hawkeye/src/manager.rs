@@ -33,21 +33,22 @@ struct Trigger {
     pub fired: u64,
 }
 
+/// One machine's entry in the resident database.
+struct Resident {
+    ad: ClassAd,
+    /// `Requirements`, compiled once at ingest for trigger matching.
+    req: Option<CompiledExpr>,
+    /// Arrival time: Condor never purges a silent machine's ad, so staleness shows a dead agent.
+    last_at: simcore::SimTime,
+}
+
 /// The Manager service.
 pub struct Manager {
-    ads: BTreeMap<String, ClassAd>,
-    /// Each stored ad's `Requirements` compiled at ingest, so the
-    /// matchmaking side of trigger evaluation does not re-walk the AST
-    /// per incoming ad.
-    compiled_reqs: BTreeMap<String, Option<CompiledExpr>>,
+    ads: BTreeMap<String, Resident>,
     /// Constraint expressions compiled once per distinct source string
     /// (`None` caches a parse failure).  The Experiment-4 workload sends
     /// the same constraint thousands of times.
     constraint_cache: HashMap<String, Option<CompiledExpr>>,
-    /// When each machine's ad last arrived.  The resident database never
-    /// purges (Condor keeps the last ad of a silent machine), so freshness
-    /// — not presence — is how a dead agent shows up.
-    last_ad_at: BTreeMap<String, simcore::SimTime>,
     triggers: Vec<Trigger>,
     /// Counters.
     pub queries: u64,
@@ -65,9 +66,7 @@ impl Manager {
     pub fn new() -> Manager {
         Manager {
             ads: BTreeMap::new(),
-            compiled_reqs: BTreeMap::new(),
             constraint_cache: HashMap::new(),
-            last_ad_at: BTreeMap::new(),
             triggers: Vec::new(),
             queries: 0,
             ads_received: 0,
@@ -84,7 +83,7 @@ impl Manager {
     }
 
     pub fn ad_of(&self, machine: &str) -> Option<&ClassAd> {
-        self.ads.get(machine)
+        self.ads.get(machine).map(|r| &r.ad)
     }
 
     /// Machines whose last ad is no older than `horizon` at `now`:
@@ -92,34 +91,33 @@ impl Manager {
     /// advertising, so this degrades linearly with the kill count while
     /// `pool_size` stays flat.
     pub fn fresh_count(&self, now: simcore::SimTime, horizon: simcore::SimDuration) -> usize {
-        self.last_ad_at
+        self.ads
             .values()
-            .filter(|&&t| now.saturating_since(t) <= horizon)
+            .filter(|r| now.saturating_since(r.last_at) <= horizon)
             .count()
     }
 
     /// Mean age (seconds) of the stored ads at `now` (`None` if empty).
     pub fn mean_ad_age(&self, now: simcore::SimTime) -> Option<f64> {
-        if self.last_ad_at.is_empty() {
+        if self.ads.is_empty() {
             return None;
         }
         let sum: f64 = self
-            .last_ad_at
+            .ads
             .values()
-            .map(|&t| now.saturating_since(t).as_secs_f64())
+            .map(|r| now.saturating_since(r.last_at).as_secs_f64())
             .sum();
-        Some(sum / self.last_ad_at.len() as f64)
+        Some(sum / self.ads.len() as f64)
     }
 
     fn fire_matching_triggers(&mut self, machine: &str, plan: &mut Plan) {
-        let Some(ad) = self.ads.get(machine) else {
+        let Some(r) = self.ads.get(machine) else {
             return;
         };
-        let ad_req = self.compiled_reqs.get(machine).and_then(Option::as_ref);
         let mut sends = Vec::new();
         let mut fired = Vec::new();
         for (i, t) in self.triggers.iter().enumerate() {
-            if matchmaker::symmetric_match_compiled(&t.ad, t.req.as_ref(), ad, ad_req) {
+            if matchmaker::symmetric_match_compiled(&t.ad, t.req.as_ref(), &r.ad, r.req.as_ref()) {
                 fired.push(i);
                 if let Some(sink) = t.notify {
                     sends.push((sink, machine.to_string(), i));
@@ -155,10 +153,10 @@ impl Service for Manager {
         match *msg {
             HawkeyeMsg::StartdAd { machine, ad } => {
                 self.ads_received += 1;
-                self.compiled_reqs
-                    .insert(machine.clone(), matchmaker::compile_requirements(&ad));
-                self.ads.insert(machine.clone(), ad);
-                self.last_ad_at.insert(machine.clone(), cx.now);
+                let req = matchmaker::compile_requirements(&ad);
+                let last_at = cx.now;
+                self.ads
+                    .insert(machine.clone(), Resident { ad, req, last_at });
                 // Each incoming ad is evaluated against every trigger.
                 cx.obs
                     .incr("hawkeye.match_evals", self.triggers.len() as u64);
@@ -171,11 +169,11 @@ impl Service for Manager {
                 self.queries += 1;
                 cx.obs.incr("hawkeye.queries", 1);
                 let ads: Vec<ClassAd> = match machine {
-                    Some(m) => self.ads.get(&m).cloned().into_iter().collect(),
+                    Some(m) => self.ad_of(&m).cloned().into_iter().collect(),
                     None => {
                         // Pool summary: one compact line per machine; model
                         // as a small digest ad per machine.
-                        self.ads.values().take(1).cloned().collect()
+                        self.ads.values().take(1).map(|r| r.ad.clone()).collect()
                     }
                 };
                 let reply = AdsReply::new(ads);
@@ -195,8 +193,8 @@ impl Service for Manager {
                     Some(c) => self
                         .ads
                         .values()
-                        .filter(|ad| matchmaker::matches_constraint_compiled(ad, c))
-                        .cloned()
+                        .filter(|r| matchmaker::matches_constraint_compiled(&r.ad, c))
+                        .map(|r| r.ad.clone())
                         .collect(),
                     None => Vec::new(),
                 };
